@@ -58,15 +58,15 @@ obs::AuditReason classify_rejection(const CandidateIndex& index,
                                     const ReplicaPlan& plan,
                                     bool budget_left) {
   const DatasetDemand& dd = q.demands[di];
-  const auto cands = index.candidates(q.id, di);
-  if (cands.empty()) return obs::AuditReason::kNoDeadlineFeasibleSite;
+  const CandidateSoA cands = index.soa(q.id, di);
+  if (cands.size() == 0) return obs::AuditReason::kNoDeadlineFeasibleSite;
   const double need = index.need(q.id, di);
-  for (const CandidateSite& c : cands) {
-    if (!plan.fits(c.site, need)) continue;
+  for (const SiteId l : cands.site) {
+    if (!plan.fits(l, need)) continue;
     // A fitting site with a replica would have been admitted, so a fitting
     // candidate here necessarily lacks one: the budget was the binding
     // constraint.
-    if (!budget_left && !plan.has_replica(dd.dataset, c.site)) {
+    if (!budget_left && !plan.has_replica(dd.dataset, l)) {
       return obs::AuditReason::kReplicaBudgetSpent;
     }
   }
@@ -132,15 +132,19 @@ bool admit_demand(const Instance& inst, const CandidateIndex& index,
         }
       }
     }
-  } else if (opts.pricing == ApproOptions::Pricing::kVectorized) {
+  } else {
     // Default: replica sites and fresh placements compete on dual price
-    // (fresh ones carry the μ surcharge).  One kernel pass over the SoA
-    // candidate buffers; the replica list is flipped into a byte-mask for
-    // the duration of the scan (O(K) set/clear instead of a per-candidate
-    // list walk).
+    // (fresh ones carry the μ surcharge).  One pass over the SoA candidate
+    // row — the vectorized kernel, or under Pricing::kScalar its
+    // candidate-at-a-time twin; the replica list is flipped into a
+    // byte-mask for the duration of the scan (O(K) set/clear instead of a
+    // per-candidate list walk).
     const std::vector<SiteId>& reps = plan.replica_sites(dd.dataset);
     mask.set(reps);
-    const PricedChoice ch = price_candidates(
+    const auto price = opts.pricing == ApproOptions::Pricing::kScalar
+                           ? price_candidates_scalar
+                           : price_candidates;
+    const PricedChoice ch = price(
         index.soa(q.id, di),
         {duals.theta_data(), index.avail(), plan.loads(), mask.bytes(),
          budget_left},
@@ -150,22 +154,6 @@ bool admit_demand(const Instance& inst, const CandidateIndex& index,
       best_site = ch.site;
       best_needs_replica = ch.needs_replica;
       best_price = ch.price;
-    }
-  } else {
-    // Scalar oracle: candidate-at-a-time walk, bit-identical to the kernel
-    // by construction (same FP sequence, same ascending-id visit order).
-    for (const CandidateSite& c : index.candidates(q.id, di)) {
-      const bool has = plan.has_replica(dd.dataset, c.site);
-      if (!has && !budget_left) continue;
-      if (!plan.fits(c.site, need)) continue;
-      double p = duals.theta(c.site) + need * index.inv_avail(c.site) +
-                 opts.eta_weight * c.delay_over_deadline;
-      if (!has) p += mu_term;
-      if (best_site == kInvalidSite || p < best_price) {
-        best_site = c.site;
-        best_needs_replica = !has;
-        best_price = p;
-      }
     }
   }
 

@@ -60,11 +60,12 @@ struct ApproOptions {
 
   /// Pricing implementation for the default (joint) admission scan.
   /// kVectorized (default) prices a demand's whole candidate list in one
-  /// branch-light pass over the CandidateIndex's struct-of-arrays buffers
-  /// with a replica byte-mask; kScalar is the per-candidate walk kept as the
-  /// equivalence oracle — both produce bit-identical plans (same winner,
-  /// same price, ties broken by candidate order).  The strict_reuse ablation
-  /// always uses its own scalar scan.
+  /// branch-light pass (price_candidates) over the CandidateIndex's
+  /// struct-of-arrays row with a replica byte-mask; kScalar runs
+  /// price_candidates_scalar, the candidate-at-a-time walk over the same
+  /// inputs, kept as the equivalence oracle — both produce bit-identical
+  /// plans (same winner, same price, ties broken by candidate order).  The
+  /// strict_reuse ablation always uses its own scalar scan.
   enum class Pricing : std::uint8_t { kVectorized, kScalar };
   Pricing pricing = Pricing::kVectorized;
 

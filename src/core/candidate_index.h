@@ -1,10 +1,10 @@
 // Per-demand candidate-site index for the admission hot path.
 //
-// For every (query, demand) pair the index precomputes the deadline-feasible
-// site list in one pass over the delay rows, caching the evaluation delay
-// and its deadline-relative form so `admit_demand`'s pricing scan touches
-// only feasible sites and never recomputes `volume·proc_delay +
-// α·volume·path_delay`.  Per-demand resource needs and per-site capacity
+// For every (query, demand) pair the index holds the deadline-feasible site
+// list as one struct-of-arrays CSR row — site ids, pre-gathered capacity
+// reciprocals, and η bases (evaluation delay / deadline) — so the pricing
+// kernel touches only feasible sites and never recomputes `volume·proc_delay
+// + α·volume·path_delay`.  Per-demand resource needs and per-site capacity
 // reciprocals are cached alongside, turning the per-candidate price into
 // three multiply-adds on dynamic dual state.
 //
@@ -15,6 +15,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -23,30 +24,12 @@
 
 namespace edgerep {
 
-/// One deadline-feasible evaluation site for a specific (query, demand).
-struct CandidateSite {
-  SiteId site = kInvalidSite;
-  double delay = 0.0;                ///< evaluation_delay at this site
-  double delay_over_deadline = 0.0;  ///< delay / q.deadline (the η base)
-};
-
 class CandidateIndex {
  public:
-  /// Builds the index for a finalized instance; the per-query sweeps are
-  /// independent, so large instances build rows in parallel.
+  /// Builds the index for a finalized instance in two sweeps over queries
+  /// (count each row, then write it in place); each query owns its rows, so
+  /// large instances sweep in parallel with thread-count-independent output.
   explicit CandidateIndex(const Instance& inst, bool parallel = true);
-
-  /// Feasible sites for query m's demand at position `demand` in
-  /// q.demands, ascending by site id.  Hot path: unchecked indexing with
-  /// debug asserts.
-  [[nodiscard]] std::span<const CandidateSite> candidates(
-      QueryId m, std::size_t demand) const {
-    assert(m + 1 < query_offset_.size());
-    const std::size_t slot = query_offset_[m] + demand;
-    assert(slot + 1 < slot_begin_.size());
-    return {candidates_.data() + slot_begin_[slot],
-            candidates_.data() + slot_begin_[slot + 1]};
-  }
 
   /// Cached resource_demand(inst, q, q.demands[demand]).
   [[nodiscard]] double need(QueryId m, std::size_t demand) const {
@@ -61,18 +44,19 @@ class CandidateIndex {
     return inv_avail_[l];
   }
 
-  /// Struct-of-arrays view of the same candidate row as `candidates`, for
-  /// the vectorized pricing kernel: site ids, pre-gathered capacity
-  /// reciprocals, and η bases in three contiguous parallel arrays.
+  /// Feasible sites for query m's demand at position `demand` in
+  /// q.demands, ascending by site id: site ids, pre-gathered capacity
+  /// reciprocals, and η bases in three contiguous parallel arrays.  Hot
+  /// path: unchecked indexing with debug asserts.
   [[nodiscard]] CandidateSoA soa(QueryId m, std::size_t demand) const {
     assert(m + 1 < query_offset_.size());
     const std::size_t slot = query_offset_[m] + demand;
     assert(slot + 1 < slot_begin_.size());
     const std::size_t b = slot_begin_[slot];
     const std::size_t e = slot_begin_[slot + 1];
-    return {{soa_site_.data() + b, soa_site_.data() + e},
-            {soa_inv_.data() + b, soa_inv_.data() + e},
-            {soa_dod_.data() + b, soa_dod_.data() + e}};
+    return {{soa_site_.get() + b, soa_site_.get() + e},
+            {soa_inv_.get() + b, soa_inv_.get() + e},
+            {soa_dod_.get() + b, soa_dod_.get() + e}};
   }
 
   /// Raw per-site availabilities A(v_l), indexed by site id — the kernel's
@@ -82,19 +66,20 @@ class CandidateIndex {
   }
 
   /// Total candidate entries (diagnostics / tests).
-  [[nodiscard]] std::size_t size() const noexcept { return candidates_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return slot_begin_.back(); }
 
  private:
-  std::vector<std::size_t> query_offset_;   ///< per query: first demand slot
-  std::vector<std::size_t> slot_begin_;     ///< CSR offsets into candidates_
-  std::vector<CandidateSite> candidates_;
-  std::vector<double> need_;                ///< per demand slot
-  std::vector<double> inv_avail_;           ///< per site
-  std::vector<double> avail_;               ///< per site, raw A(v_l)
-  // SoA mirrors of candidates_, aligned entry-for-entry with slot_begin_.
-  std::vector<SiteId> soa_site_;
-  std::vector<double> soa_inv_;   ///< inv_avail_[site], pre-gathered
-  std::vector<double> soa_dod_;   ///< delay_over_deadline
+  std::vector<std::size_t> query_offset_;  ///< per query: first demand slot
+  std::vector<std::size_t> slot_begin_;    ///< CSR offsets into the rows
+  std::vector<double> need_;               ///< per demand slot
+  std::vector<double> inv_avail_;          ///< per site
+  std::vector<double> avail_;              ///< per site, raw A(v_l)
+  // The CSR rows, entry-for-entry parallel (20 B per candidate).  Every
+  // entry is written exactly once by the build, so the buffers skip
+  // value-initialization.
+  std::unique_ptr<SiteId[]> soa_site_;
+  std::unique_ptr<double[]> soa_inv_;  ///< inv_avail_[site], pre-gathered
+  std::unique_ptr<double[]> soa_dod_;  ///< evaluation delay / q.deadline
 };
 
 }  // namespace edgerep

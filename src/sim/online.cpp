@@ -228,6 +228,7 @@ using online_detail::DemandLayout;
 using online_detail::demand_span_id;
 using online_detail::kNoSpan;
 using online_detail::OnlineArrivalStream;
+using online_detail::published_utilization;
 using online_detail::query_span_id;
 using online_detail::SiteLoad;
 using online_detail::SpanRec;
@@ -421,8 +422,7 @@ OnlineResult run_online_closure(const Instance& inst, const OnlineConfig& cfg,
           "in-use GHz over fault-free total GHz");
       g_inflight.set(static_cast<double>(inflight_count));
       g_clock.set(eq.now());
-      g_util.set(total_available > 0.0 ? in_use_total / total_available
-                                       : 0.0);
+      g_util.set(published_utilization(in_use_total, total_available));
       if (flow_on) {
         static obs::Gauge& g_flows = obs::metrics().gauge(
             "edgerep_online_active_flows",
@@ -449,8 +449,7 @@ OnlineResult run_online_closure(const Instance& inst, const OnlineConfig& cfg,
     st.demands_relocated = res.demands_relocated;
     st.fault_events_applied = res.fault_events_applied;
     st.replicas_lost = res.replicas_lost_to_faults;
-    st.utilization =
-        total_available > 0.0 ? in_use_total / total_available : 0.0;
+    st.utilization = published_utilization(in_use_total, total_available);
     st.site_in_use.reserve(sites.size());
     st.site_available.reserve(sites.size());
     for (const Site& s : inst.sites()) {

@@ -5,6 +5,7 @@
 // the public API (not exported through edgerep/edgerep.h).
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -129,6 +130,14 @@ class OnlineArrivalStream {
 void finalize_online_result(const Instance& inst, const DemandLayout& layout,
                             const std::vector<DemandEnd>& demand_ends,
                             OnlineResult* res);
+
+/// Utilization as published to the gauge and the status board:
+/// in_use / total, clamped at 0.  The ±need sequence on `in_use` can drift
+/// a few ulps below zero once every demand has retired; the clamp touches
+/// only the published view, never `in_use` or peak_utilization.
+inline double published_utilization(double in_use, double total) {
+  return total > 0.0 ? std::max(0.0, in_use / total) : 0.0;
+}
 
 /// Effective link capacity of the flow backend in the contention-free
 /// limit (OnlineConfig::oversubscription == 0).  Large enough that no link

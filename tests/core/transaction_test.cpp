@@ -5,6 +5,7 @@
 // general-case instances.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <vector>
 
@@ -87,22 +88,24 @@ TEST(CandidateIndexTest, MatchesNaiveFeasibilityAndDelay) {
     for (std::size_t di = 0; di < q.demands.size(); ++di) {
       const DatasetDemand& dd = q.demands[di];
       EXPECT_EQ(index.need(q.id, di), resource_demand(inst, q, dd));
-      const auto cands = index.candidates(q.id, di);
+      const CandidateSoA row = index.soa(q.id, di);
+      ASSERT_EQ(row.inv_avail.size(), row.size());
+      ASSERT_EQ(row.dod.size(), row.size());
       std::size_t c = 0;
-      SiteId prev = 0;
       for (const Site& s : inst.sites()) {
         if (!deadline_ok(inst, q, dd, s.id)) continue;
-        ASSERT_LT(c, cands.size());
-        EXPECT_EQ(cands[c].site, s.id);
-        EXPECT_EQ(cands[c].delay, evaluation_delay(inst, q, dd, s.id));
-        EXPECT_EQ(cands[c].delay_over_deadline, cands[c].delay / q.deadline);
+        ASSERT_LT(c, row.size());
+        EXPECT_EQ(row.site[c], s.id);
         if (c > 0) {
-          EXPECT_GT(cands[c].site, prev);  // ascending site order
+          EXPECT_GT(row.site[c], row.site[c - 1]);  // ascending site order
         }
-        prev = cands[c].site;
+        // Bitwise: the index evaluates the same FP expression.
+        EXPECT_EQ(row.dod[c],
+                  evaluation_delay(inst, q, dd, s.id) / q.deadline);
+        EXPECT_EQ(row.inv_avail[c], 1.0 / std::max(s.available, 1e-12));
         ++c;
       }
-      EXPECT_EQ(c, cands.size());  // no infeasible entries
+      EXPECT_EQ(c, row.size());  // no infeasible entries
     }
   }
 }

@@ -6,6 +6,9 @@
 
 #include "core/appro.h"
 #include "helpers/fixtures.h"
+#include "obs/metrics.h"
+#include "obs/obs.h"
+#include "workload/arrival_gen.h"
 #include "workload/fault_gen.h"
 
 namespace edgerep {
@@ -106,6 +109,40 @@ TEST(Online, DeterministicPerSeed) {
   EXPECT_DOUBLE_EQ(a.admitted_volume, b.admitted_volume);
   for (std::size_t i = 0; i < a.outcomes.size(); ++i) {
     EXPECT_DOUBLE_EQ(a.outcomes[i].arrival_time, b.outcomes[i].arrival_time);
+  }
+}
+
+TEST(Online, PublishedUtilizationNeverEndsNegative) {
+  // This run's ±need sequence leaves in-use GHz ~1e-18 below zero once
+  // every demand retires.  The gauge and the status board publish a value
+  // clamped at 0; the result itself (peak_utilization included) is the
+  // same with or without publishing.
+  StreamWorkloadConfig wc;
+  wc.sites = 16;
+  wc.queries = 200;
+  wc.max_demands = 2;
+  const Instance inst = stream_instance(wc, 4);
+  for (const OnlineKernel kernel :
+       {OnlineKernel::kTyped, OnlineKernel::kClosure}) {
+    OnlineConfig cfg;
+    cfg.kernel = kernel;
+    cfg.arrival_rate = 50.0;
+    obs::set_metrics_enabled(false);
+    const OnlineResult quiet = run_online(inst, cfg);
+
+    OnlineStatusBoard board;
+    cfg.status_board = &board;
+    obs::set_metrics_enabled(true);
+    const OnlineResult published = run_online(inst, cfg);
+    const double gauge =
+        obs::metrics().gauge("edgerep_online_utilization").value();
+    obs::init_from_env();
+
+    EXPECT_TRUE(board.finished());
+    EXPECT_GE(gauge, 0.0);
+    EXPECT_GE(board.utilization(), 0.0);
+    EXPECT_EQ(quiet.peak_utilization, published.peak_utilization);
+    EXPECT_EQ(online_result_hash(quiet), online_result_hash(published));
   }
 }
 
