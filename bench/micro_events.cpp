@@ -1,13 +1,11 @@
-// Microbenchmarks of the typed event kernel against the closure-based
-// EventQueue it replaced in `run_online`.
+// Microbenchmarks of the typed event kernel of `run_online`.
 //
 // The queue benches push/pop N events through each core: the typed queue
-// moves 40-byte PODs through a 4-ary heap, the closure queue heap-allocates
-// a std::function per event.  The slab benches measure flight churn
-// (create/destroy with free-list reuse) against the grow-only vector the
-// closure kernel models flights with.  The end-to-end benches run the full
-// online testbed on both kernels at a small scale; events/sec counters make
-// the comparison direct.
+// moves 40-byte PODs through a 4-ary heap, the closure EventQueue (still
+// the core of `simulate`) heap-allocates a std::function per event.  The
+// slab bench measures flight churn (create/destroy with free-list reuse).
+// The end-to-end bench runs the full online testbed at a small scale and
+// reports events/sec.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -91,14 +89,13 @@ void BM_FlightSlabChurn(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(slab.live_count()));
 }
 
-void BM_OnlineKernel(benchmark::State& state, OnlineKernel kernel) {
+void BM_OnlineTyped(benchmark::State& state) {
   StreamWorkloadConfig wc;
   wc.sites = 1'000;
   wc.queries = 5'000;
   const Instance inst = stream_instance(wc, 0x0b5e);
   OnlineConfig cfg;
   cfg.arrival_rate = 20.0;
-  cfg.kernel = kernel;
   std::uint64_t events = 0;
   for (auto _ : state) {
     const OnlineResult res = run_online(inst, cfg);
@@ -109,19 +106,10 @@ void BM_OnlineKernel(benchmark::State& state, OnlineKernel kernel) {
       static_cast<double>(events), benchmark::Counter::kIsRate);
 }
 
-void BM_OnlineTyped(benchmark::State& state) {
-  BM_OnlineKernel(state, OnlineKernel::kTyped);
-}
-
-void BM_OnlineClosure(benchmark::State& state) {
-  BM_OnlineKernel(state, OnlineKernel::kClosure);
-}
-
 BENCHMARK(BM_TypedQueuePushPop)->Arg(1'000)->Arg(100'000);
 BENCHMARK(BM_ClosureQueuePushPop)->Arg(1'000)->Arg(100'000);
 BENCHMARK(BM_FlightSlabChurn)->Arg(64)->Arg(4'096);
 BENCHMARK(BM_OnlineTyped)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_OnlineClosure)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace edgerep

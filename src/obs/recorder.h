@@ -17,10 +17,9 @@
 // read one relaxed atomic and do nothing else — plans, duals, and
 // simulation outcomes are bit-identical to an uninstrumented build.  With
 // the recorder enabled, a fixed online config produces a *byte-identical*
-// journal across repeated runs and across the closure / typed kernels:
-// records carry only simulation-clock times and stable ids, never
-// wall-clock or addresses, and every append site is keyed to the pinned
-// event order both kernels share.
+// journal across repeated runs: records carry only simulation-clock times
+// and stable ids, never wall-clock or addresses, and every append site is
+// keyed to the pinned event order of the online kernel.
 //
 // The append path is zero-allocation in ring mode (the buffer is sized at
 // configure time) and amortized-allocation in full mode (geometric vector

@@ -17,22 +17,21 @@
 //    repeats, so simultaneous events have a total FIFO order.
 //  * `seq` is banded: the high byte encodes the event's scheduling class
 //    (faults < arrivals < dynamic completions < status ticks) and the low
-//    56 bits a per-band monotone counter.  This reproduces the closure
-//    kernel's global insertion order — where every fault is scheduled
-//    before every arrival, and dynamic events are scheduled mid-run — even
-//    though this kernel streams arrivals lazily (one pending arrival in
-//    the heap instead of the whole horizon).
+//    56 bits a per-band monotone counter.  This is the global insertion
+//    order of a queue that schedules every fault before every arrival and
+//    dynamic events mid-run (the former closure-based online kernel, whose
+//    output the golden fixtures freeze) even though this kernel streams
+//    arrivals lazily (one pending arrival in the heap, not the horizon).
 //  * `post()` enqueues an *immediate*: a FIFO ring drained before the next
-//    heap pop.  Immediates model work that the closure kernel ran
-//    synchronously inside a handler (e.g. relocating the flights displaced
-//    by a crash), keeping it a typed, inspectable event.
+//    heap pop.  Immediates model work that runs synchronously after a
+//    handler (e.g. relocating the flights displaced by a crash), keeping
+//    it a typed, inspectable event.
 //
 // `FlightSlab` is the companion registry for in-flight work: slot reuse
 // through a free list, generation-stamped handles so a completion event
 // scheduled for a killed (or relocated) flight self-discards in O(1), and
 // an intrusive doubly-linked live list that iterates survivors in creation
-// order — the order the closure kernel got for free from its grow-only
-// flights vector.
+// order.
 #pragma once
 
 #include <cassert>
@@ -67,10 +66,9 @@ struct SimEvent {
 
 /// Scheduling-class bands of the 64-bit seq (high byte).  Within one time
 /// instant, lower bands run first; within one band, lower counters run
-/// first.  The order mirrors the closure kernel's scheduling sequence:
-/// fault events are all scheduled before arrivals, arrivals before any
-/// dynamic event, and status ticks (which read state but never write it)
-/// drain last.
+/// first.  Fault events are all scheduled before arrivals, arrivals before
+/// any dynamic event, and status ticks (which read state but never write
+/// it) drain last.
 namespace evseq {
 inline constexpr std::uint64_t kFaultBand = 0;
 inline constexpr std::uint64_t kArrivalBand = 1;
@@ -184,7 +182,7 @@ inline constexpr std::uint32_t kNilSlot = static_cast<std::uint32_t>(-1);
 
 /// Generation-stamped reference to a flight slot.  A handle whose
 /// generation no longer matches the slot dereferences to null — the O(1)
-/// stale-discard that replaces the closure kernel's `alive` flag scan.
+/// stale-discard.
 struct FlightHandle {
   std::uint32_t slot = kNilSlot;
   std::uint32_t gen = 0;

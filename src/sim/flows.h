@@ -67,8 +67,8 @@ class FlowEngine {
   /// the flow, or kInvalidEdge when its own rate cap did) and once at
   /// retirement (rate == 0, remaining == 0, `time` = the actual completion
   /// instant).  The call sequence is deterministic (ascending slot order
-  /// inside each fill) and mirrored across the closure/typed cores, so
-  /// journal appends driven from here stay byte-identical across kernels.
+  /// inside each fill) and identical in both modes, so journal appends
+  /// driven from here are byte-identical across repeated runs.
   using RateListener = std::function<void(
       std::uint32_t tag, double time, double rate, double remaining,
       EdgeId bottleneck)>;

@@ -14,6 +14,7 @@
 #include "core/appro.h"
 #include "core/local_search.h"
 #include "helpers/fixtures.h"
+#include "helpers/online_scenarios.h"
 #include "obs/audit.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
@@ -195,79 +196,56 @@ TEST_F(ObsEquivalenceTest, OnlineRunIsBitIdentical) {
 
 TEST_F(ObsEquivalenceTest, RecorderIsBitNeutralOnOnlineRuns) {
   // The flight recorder is the fourth facet: enabling it (on top of the
-  // other three) must leave every contract field of the result untouched,
-  // on both kernels.
+  // other three) must leave every contract field of the result untouched.
   const Instance inst = testing::medium_instance(11, /*f_max=*/3);
-  FaultScenarioConfig fcfg;
-  fcfg.horizon = 10.0;
-  fcfg.site_crashes = 2;
-  fcfg.capacity_losses = 1;
-  fcfg.mean_repair_time = 4.0;
-  OnlineConfig cfg;
-  cfg.seed = 0x5e55;
-  cfg.faults = generate_fault_trace(inst, fcfg, 29);
+  const OnlineConfig cfg = testing::faulted_config(inst);
 
-  for (const OnlineKernel kernel :
-       {OnlineKernel::kTyped, OnlineKernel::kClosure}) {
-    cfg.kernel = kernel;
-    obs::set_all_enabled(false);
-    obs::set_recorder_enabled(false);
-    const OnlineResult off = run_online(inst, cfg);
+  obs::set_all_enabled(false);
+  obs::set_recorder_enabled(false);
+  const OnlineResult off = run_online(inst, cfg);
 
-    obs::set_all_enabled(true);
-    obs::recorder().configure(obs::RecorderMode::kFull);
-    obs::set_recorder_enabled(true);
-    const OnlineResult on = run_online(inst, cfg);
-    obs::set_recorder_enabled(false);
-    obs::set_all_enabled(false);
+  obs::set_all_enabled(true);
+  obs::recorder().configure(obs::RecorderMode::kFull);
+  obs::set_recorder_enabled(true);
+  const OnlineResult on = run_online(inst, cfg);
+  obs::set_recorder_enabled(false);
+  obs::set_all_enabled(false);
 
-    EXPECT_EQ(online_result_hash(off), online_result_hash(on));
-    EXPECT_GT(obs::recorder().size(), 0u)
-        << "recorder-on run appended no records";
-    obs::recorder().clear();
-    obs::audit_log().clear();
-    obs::tracer().clear();
-  }
+  EXPECT_EQ(online_result_hash(off), online_result_hash(on));
+  EXPECT_GT(obs::recorder().size(), 0u)
+      << "recorder-on run appended no records";
+  obs::recorder().clear();
+  obs::audit_log().clear();
+  obs::tracer().clear();
 }
 
 TEST_F(ObsEquivalenceTest, WatchdogIsBitNeutralOnOnlineRuns) {
   // The watchdog is the fifth facet: with every other facet already on,
   // enabling it (so all five run at once) must leave every contract field
-  // of a faulted run untouched on both kernels — detectors observe the
-  // simulation, they never steer it.
+  // of a faulted run untouched — detectors observe the simulation, they
+  // never steer it.
   const Instance inst = testing::medium_instance(11, /*f_max=*/3);
-  FaultScenarioConfig fcfg;
-  fcfg.horizon = 10.0;
-  fcfg.site_crashes = 2;
-  fcfg.capacity_losses = 1;
-  fcfg.mean_repair_time = 4.0;
-  OnlineConfig cfg;
-  cfg.seed = 0x5e55;
-  cfg.faults = generate_fault_trace(inst, fcfg, 29);
+  const OnlineConfig cfg = testing::faulted_config(inst);
 
-  for (const OnlineKernel kernel :
-       {OnlineKernel::kTyped, OnlineKernel::kClosure}) {
-    cfg.kernel = kernel;
-    obs::set_all_enabled(false);
-    obs::set_watchdog_enabled(false);
-    const OnlineResult off = run_online(inst, cfg);
+  obs::set_all_enabled(false);
+  obs::set_watchdog_enabled(false);
+  const OnlineResult off = run_online(inst, cfg);
 
-    obs::set_all_enabled(true);
-    obs::recorder().configure(obs::RecorderMode::kFull);
-    obs::set_recorder_enabled(true);
-    obs::set_watchdog_enabled(true);
-    const OnlineResult on = run_online(inst, cfg);
-    obs::set_watchdog_enabled(false);
-    obs::set_recorder_enabled(false);
-    obs::set_all_enabled(false);
+  obs::set_all_enabled(true);
+  obs::recorder().configure(obs::RecorderMode::kFull);
+  obs::set_recorder_enabled(true);
+  obs::set_watchdog_enabled(true);
+  const OnlineResult on = run_online(inst, cfg);
+  obs::set_watchdog_enabled(false);
+  obs::set_recorder_enabled(false);
+  obs::set_all_enabled(false);
 
-    EXPECT_EQ(online_result_hash(off), online_result_hash(on));
-    // The off run's rollup stays zeroed; the hash excludes it either way.
-    EXPECT_EQ(off.watchdog.opened, 0u);
-    obs::recorder().clear();
-    obs::audit_log().clear();
-    obs::tracer().clear();
-  }
+  EXPECT_EQ(online_result_hash(off), online_result_hash(on));
+  // The off run's rollup stays zeroed; the hash excludes it either way.
+  EXPECT_EQ(off.watchdog.opened, 0u);
+  obs::recorder().clear();
+  obs::audit_log().clear();
+  obs::tracer().clear();
   obs::watchdog().begin_run();
 }
 

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "helpers/fixtures.h"
+#include "helpers/online_scenarios.h"
 #include "sim/online.h"
 #include "util/rng.h"
 
@@ -37,7 +38,7 @@ TEST(TypedEventQueue, PopsInTimeOrder) {
 TEST(TypedEventQueue, SimultaneousEventsOrderByBandThenCounter) {
   // At one instant: a status tick, a dynamic completion, an arrival, and a
   // fault, pushed in scrambled order.  They must pop fault < arrival <
-  // dynamic < status — the closure kernel's scheduling order.
+  // dynamic < status — the band order of evseq.
   TypedEventQueue q;
   q.push_status(5.0);
   q.push_dynamic(EvKind::kComputeDone, 5.0, 7, 1);
@@ -215,28 +216,17 @@ TEST(FlightSlab, DestroyHeadAndTailKeepListConsistent) {
 TEST(TypedKernel, FaultAtArrivalInstantResolvesFaultFirst) {
   // Uniform arrivals at rate 1 land at exactly t = 1, 2, 3 (exact doubles).
   // A site crash at exactly t = 1 must apply before query 0 is admitted —
-  // with the only feasible site down, the query is rejected, on both
-  // kernels identically.
-  Graph g;
-  const NodeId cl = g.add_node(NodeRole::kCloudlet);
-  Instance inst(std::move(g));
-  const SiteId s = inst.add_site(cl, 4.0, 0.05);
-  const DatasetId d = inst.add_dataset(4.0, s);
-  inst.add_query(s, 1.0, 2.0, {{d, 0.5}});
-  inst.set_max_replicas(1);
-  inst.finalize();
+  // with the only feasible site down, the query is rejected.
+  const Instance inst = testing::one_site_instance(0.05, /*deadline=*/2.0);
   OnlineConfig cfg;
   cfg.arrivals = OnlineConfig::Arrivals::kUniform;
   cfg.arrival_rate = 1.0;
   cfg.faults.events.push_back(
-      FaultEvent{1.0, FaultKind::kSiteDown, s, kInvalidEdge, 0.0});
-  for (const OnlineKernel k : {OnlineKernel::kTyped, OnlineKernel::kClosure}) {
-    cfg.kernel = k;
-    const OnlineResult r = run_online(inst, cfg);
-    EXPECT_EQ(r.admitted_queries, 0u);
-    EXPECT_FALSE(r.outcomes[0].admitted);
-    EXPECT_EQ(r.fault_events_applied, 1u);
-  }
+      FaultEvent{1.0, FaultKind::kSiteDown, 0, kInvalidEdge, 0.0});
+  const OnlineResult r = run_online(inst, cfg);
+  EXPECT_EQ(r.admitted_queries, 0u);
+  EXPECT_FALSE(r.outcomes[0].admitted);
+  EXPECT_EQ(r.fault_events_applied, 1u);
 }
 
 TEST(TypedKernel, EmptyTraceMatchesFaultFreeRunBitForBit) {
@@ -253,43 +243,27 @@ TEST(TypedKernel, StaleCompletionsSelfDiscardAfterCrash) {
   // A crash mid-flight leaves the killed flights' completion events in the
   // heap; they must self-discard (no double-release of site capacity).
   // With repair off, the admitted query simply fails.
-  Graph g;
-  const NodeId cl = g.add_node(NodeRole::kCloudlet);
-  Instance inst(std::move(g));
-  const SiteId s = inst.add_site(cl, 4.0, 1.0);  // 4 s processing window
-  const DatasetId d = inst.add_dataset(4.0, s);
-  inst.add_query(s, 1.0, 10.0, {{d, 0.5}});
-  inst.set_max_replicas(1);
-  inst.finalize();
+  const Instance inst = testing::one_site_instance(1.0, /*deadline=*/10.0);
   OnlineConfig cfg;
   cfg.arrivals = OnlineConfig::Arrivals::kUniform;
   cfg.arrival_rate = 1.0;    // arrival at t = 1, completion due t = 5
   cfg.repair_on_failure = false;
   cfg.faults.events.push_back(
-      FaultEvent{2.0, FaultKind::kSiteDown, s, kInvalidEdge, 0.0});
-  for (const OnlineKernel k : {OnlineKernel::kTyped, OnlineKernel::kClosure}) {
-    cfg.kernel = k;
-    const OnlineResult r = run_online(inst, cfg);
-    EXPECT_EQ(r.queries_failed_by_fault, 1u);
-    EXPECT_EQ(r.admitted_queries, 0u);
-    EXPECT_TRUE(r.outcomes[0].failed_by_fault);
-  }
+      FaultEvent{2.0, FaultKind::kSiteDown, 0, kInvalidEdge, 0.0});
+  const OnlineResult r = run_online(inst, cfg);
+  EXPECT_EQ(r.queries_failed_by_fault, 1u);
+  EXPECT_EQ(r.admitted_queries, 0u);
+  EXPECT_TRUE(r.outcomes[0].failed_by_fault);
 }
 
 TEST(TypedKernel, HeapStaysBoundedByConcurrencyNotHorizon) {
-  // 60 queries: the closure kernel pre-schedules all of them, the typed
-  // kernel keeps one pending arrival plus the in-flight completions.
+  // 60 queries, but the heap holds one pending arrival plus the in-flight
+  // completions — never the whole horizon.
   const Instance inst = testing::medium_instance(3, /*f_max=*/2);
-  OnlineConfig cfg;
-  cfg.kernel = OnlineKernel::kTyped;
-  const OnlineResult typed = run_online(inst, cfg);
-  cfg.kernel = OnlineKernel::kClosure;
-  const OnlineResult closure = run_online(inst, cfg);
-  EXPECT_GE(closure.kernel_stats.peak_pending_events,
-            inst.queries().size());
-  EXPECT_LE(typed.kernel_stats.peak_pending_events,
-            typed.kernel_stats.peak_flights + 2);
-  EXPECT_EQ(online_result_hash(typed), online_result_hash(closure));
+  const OnlineResult r = run_online(inst);
+  EXPECT_LT(r.kernel_stats.peak_pending_events, inst.queries().size());
+  EXPECT_LE(r.kernel_stats.peak_pending_events,
+            r.kernel_stats.peak_flights + 2);
 }
 
 }  // namespace

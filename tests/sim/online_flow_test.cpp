@@ -3,27 +3,28 @@
 //  * Contention-free limit: with oversubscription == 0 every link is
 //    effectively infinite, so each flow runs at exactly its unit rate cap
 //    and completes at the table-priced instant — the OnlineResult must be
-//    BIT-identical to the kTable backend, on both kernels, with and
-//    without fault traces.
-//  * Contended regime: the typed and closure kernels must still agree
-//    bit-for-bit with each other, and the predicted-vs-actual gap stats
-//    must report the stretch.
+//    BIT-identical to the kTable backend, with and without fault traces.
+//  * Contended regime: the predicted-vs-actual gap stats must report the
+//    stretch.
 //  * Capacity-loss faults mid-flow throttle the affected links and stretch
 //    live completions past their prediction.
+//
+// The golden rows Flow.* (sim/online_golden_test.cpp) freeze each of these
+// runs' result hash and gap stats.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
 
 #include "helpers/fixtures.h"
+#include "helpers/online_scenarios.h"
 #include "sim/online.h"
-#include "workload/arrival_gen.h"
-#include "workload/fault_gen.h"
 
 namespace edgerep {
 namespace {
 
 using testing::medium_instance;
+using testing::stress_trace;
 using testing::TinyFixture;
 
 #define EXPECT_BITEQ(x, y)                                   \
@@ -31,9 +32,8 @@ using testing::TinyFixture;
             std::bit_cast<std::uint64_t>(y))                 \
       << #x " differs: " << (x) << " vs " << (y)
 
-/// Field-by-field bitwise comparison of the equivalence-contract surface
-/// (same checks as online_equivalence_test.cpp; kernel_stats and flow_gap
-/// are diagnostics, not contract).
+/// Field-by-field bitwise comparison of the result-contract surface
+/// (kernel_stats and flow_gap are diagnostics, not contract).
 void expect_bit_identical(const OnlineResult& a, const OnlineResult& b) {
   ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
   for (std::size_t i = 0; i < a.outcomes.size(); ++i) {
@@ -74,49 +74,30 @@ void expect_bit_identical(const OnlineResult& a, const OnlineResult& b) {
   EXPECT_EQ(online_result_hash(a), online_result_hash(b));
 }
 
-FaultTrace stress_trace(const Instance& inst, std::uint64_t seed) {
-  FaultScenarioConfig fc;
-  fc.horizon = 40.0;
-  fc.site_crashes = 2;
-  fc.link_failures = 2;
-  fc.capacity_losses = 2;
-  fc.mean_repair_time = 8.0;
-  fc.cloudlets_only = false;
-  return generate_fault_trace(inst, fc, seed);
-}
-
-/// The tentpole acceptance check: for each kernel, run the delay table and
-/// the flow backend at oversubscription 0 (infinite capacity) and demand a
-/// bit-identical result.  Also pins the gap stats a contention-free run
-/// must report: every flow at its predicted instant, zero stretch.
+/// The tentpole acceptance check: run the delay table and the flow backend
+/// at oversubscription 0 (infinite capacity) and demand a bit-identical
+/// result.  Also pins the gap stats a contention-free run must report:
+/// every flow at its predicted instant, zero stretch.
 void expect_contention_free_identity(const Instance& inst, OnlineConfig cfg) {
   cfg.oversubscription = 0.0;
-  OnlineResult flow_by_kernel[2];
-  int k = 0;
-  for (const OnlineKernel kernel :
-       {OnlineKernel::kTyped, OnlineKernel::kClosure}) {
-    cfg.kernel = kernel;
-    cfg.network = OnlineNetwork::kTable;
-    const OnlineResult table = run_online(inst, cfg);
-    cfg.network = OnlineNetwork::kFlow;
-    const OnlineResult flow = run_online(inst, cfg);
-    expect_bit_identical(table, flow);
+  cfg.network = OnlineNetwork::kTable;
+  const OnlineResult table = run_online(inst, cfg);
+  cfg.network = OnlineNetwork::kFlow;
+  const OnlineResult flow = run_online(inst, cfg);
+  expect_bit_identical(table, flow);
 
-    // Table runs never touch the flow engine.
-    EXPECT_EQ(table.flow_gap.flows_routed, 0u);
-    EXPECT_EQ(table.flow_gap.queries_compared, 0u);
-    // Contention-free flows hit their prediction exactly.
-    if (flow.admitted_queries > 0) {
-      EXPECT_GT(flow.flow_gap.flows_routed, 0u);
-      EXPECT_GT(flow.flow_gap.queries_compared, 0u);
-    }
-    EXPECT_EQ(flow.flow_gap.predicted_hits, flow.flow_gap.actual_hits);
-    EXPECT_EQ(flow.flow_gap.gap_breaches, 0u);
-    EXPECT_BITEQ(flow.flow_gap.max_stretch, 0.0);
-    EXPECT_BITEQ(flow.flow_gap.mean_stretch, 0.0);
-    flow_by_kernel[k++] = flow;
+  // Table runs never touch the flow engine.
+  EXPECT_EQ(table.flow_gap.flows_routed, 0u);
+  EXPECT_EQ(table.flow_gap.queries_compared, 0u);
+  // Contention-free flows hit their prediction exactly.
+  if (flow.admitted_queries > 0) {
+    EXPECT_GT(flow.flow_gap.flows_routed, 0u);
+    EXPECT_GT(flow.flow_gap.queries_compared, 0u);
   }
-  expect_bit_identical(flow_by_kernel[0], flow_by_kernel[1]);
+  EXPECT_EQ(flow.flow_gap.predicted_hits, flow.flow_gap.actual_hits);
+  EXPECT_EQ(flow.flow_gap.gap_breaches, 0u);
+  EXPECT_BITEQ(flow.flow_gap.max_stretch, 0.0);
+  EXPECT_BITEQ(flow.flow_gap.mean_stretch, 0.0);
 }
 
 class OnlineFlowIdentity : public ::testing::TestWithParam<int> {};
@@ -142,82 +123,49 @@ INSTANTIATE_TEST_SUITE_P(Seeds, OnlineFlowIdentity,
                          ::testing::Values(1, 2, 3, 4));
 
 // Two sites with a hopeless local option: the lone query must evaluate at
-// the remote data center, so its transfer routes as a real flow over the
-// cl–sw–dc path.  A single flow never shares a link and its unit rate cap
-// binds below every link capacity, so even at real capacities
-// (oversubscription 1) the flow backend must reproduce the table result
-// exactly.
-Instance remote_tiny_instance() {
-  Graph g;
-  const NodeId cl = g.add_node(NodeRole::kCloudlet);
-  const NodeId sw = g.add_node(NodeRole::kSwitch);
-  const NodeId dc = g.add_node(NodeRole::kDataCenter);
-  g.add_edge(cl, sw, 0.1);
-  g.add_edge(sw, dc, 1.0);
-  Instance inst(std::move(g));
-  inst.add_site(cl, 10.0, 5.0);  // 4 GB × 5 s/GB: local misses any deadline
-  const SiteId s_dc = inst.add_site(dc, 100.0, 0.05);
-  const DatasetId d0 = inst.add_dataset(4.0, s_dc);
-  inst.add_query(/*home=*/0, 1.0, /*deadline=*/3.0, {{d0, 0.5}});
-  inst.set_max_replicas(2);
-  inst.finalize();
-  return inst;
-}
-
+// the remote data center, so its transfer routes as a real flow.  A single
+// flow never shares a link and its unit rate cap binds below every link
+// capacity, so even at real capacities (oversubscription 1) the flow
+// backend must reproduce the table result exactly.
 TEST(OnlineFlow, SingleFlowMatchesTableDelayAtRealCapacity) {
-  const Instance inst = remote_tiny_instance();
+  const Instance inst = testing::remote_tiny_instance();
   OnlineConfig cfg;
   cfg.oversubscription = 1.0;
-  for (const OnlineKernel kernel :
-       {OnlineKernel::kTyped, OnlineKernel::kClosure}) {
-    cfg.kernel = kernel;
-    cfg.network = OnlineNetwork::kTable;
-    const OnlineResult table = run_online(inst, cfg);
-    cfg.network = OnlineNetwork::kFlow;
-    const OnlineResult flow = run_online(inst, cfg);
-    expect_bit_identical(table, flow);
-    ASSERT_EQ(flow.admitted_queries, 1u);
-    EXPECT_GT(flow.flow_gap.flows_routed, 0u);
-    EXPECT_BITEQ(flow.flow_gap.max_stretch, 0.0);
-  }
+  cfg.network = OnlineNetwork::kTable;
+  const OnlineResult table = run_online(inst, cfg);
+  cfg.network = OnlineNetwork::kFlow;
+  const OnlineResult flow = run_online(inst, cfg);
+  expect_bit_identical(table, flow);
+  ASSERT_EQ(flow.admitted_queries, 1u);
+  EXPECT_GT(flow.flow_gap.flows_routed, 0u);
+  EXPECT_BITEQ(flow.flow_gap.max_stretch, 0.0);
 }
 
 // Scarce links (oversubscription 64 shrinks every capacity below the unit
 // rate cap) force concurrent flows to stretch past their prediction.  The
-// two kernels must still agree bit-for-bit, and the gap rollup must show
-// the contention: positive stretch and no more actual than predicted hits
-// (a flow can only finish at or after its table-priced instant).
-TEST(OnlineFlow, OversubscriptionStretchesAndKernelsAgree) {
+// gap rollup must show the contention: positive stretch and no more actual
+// than predicted hits (a flow can only finish at or after its table-priced
+// instant).
+TEST(OnlineFlow, OversubscriptionStretchesCompletions) {
   const Instance inst = medium_instance(3, /*f_max=*/4);
   OnlineConfig cfg;
   cfg.arrival_rate = 4.0;
   cfg.network = OnlineNetwork::kFlow;
   cfg.oversubscription = 64.0;
+  const OnlineResult flow = run_online(inst, cfg);
 
-  cfg.kernel = OnlineKernel::kTyped;
-  const OnlineResult typed = run_online(inst, cfg);
-  cfg.kernel = OnlineKernel::kClosure;
-  const OnlineResult closure = run_online(inst, cfg);
-  expect_bit_identical(typed, closure);
-
-  EXPECT_GT(typed.flow_gap.flows_routed, 0u);
-  EXPECT_GT(typed.flow_gap.rate_changes, typed.flow_gap.flows_routed)
+  EXPECT_GT(flow.flow_gap.flows_routed, 0u);
+  EXPECT_GT(flow.flow_gap.rate_changes, flow.flow_gap.flows_routed)
       << "shared scarce links must trigger mid-flight re-fills";
-  EXPECT_GT(typed.flow_gap.max_stretch, 0.0);
-  EXPECT_GT(typed.flow_gap.mean_stretch, 0.0);
-  EXPECT_LE(typed.flow_gap.actual_hits, typed.flow_gap.predicted_hits);
-  EXPECT_EQ(typed.flow_gap.queries_compared, typed.slo.admitted_queries);
-  // Gap stats are diagnostics: both kernels must report the same rollup.
-  EXPECT_EQ(typed.flow_gap.flows_routed, closure.flow_gap.flows_routed);
-  EXPECT_EQ(typed.flow_gap.rate_changes, closure.flow_gap.rate_changes);
-  EXPECT_EQ(typed.flow_gap.gap_breaches, closure.flow_gap.gap_breaches);
-  EXPECT_BITEQ(typed.flow_gap.max_stretch, closure.flow_gap.max_stretch);
+  EXPECT_GT(flow.flow_gap.max_stretch, 0.0);
+  EXPECT_GT(flow.flow_gap.mean_stretch, 0.0);
+  EXPECT_LE(flow.flow_gap.actual_hits, flow.flow_gap.predicted_hits);
+  EXPECT_EQ(flow.flow_gap.queries_compared, flow.slo.admitted_queries);
 
   // And the stretched run must genuinely differ from the table pricing.
-  cfg.kernel = OnlineKernel::kTyped;
   cfg.network = OnlineNetwork::kTable;
   const OnlineResult table = run_online(inst, cfg);
-  EXPECT_NE(online_result_hash(table), online_result_hash(typed));
+  EXPECT_NE(online_result_hash(table), online_result_hash(flow));
 }
 
 // A capacity-loss fault mid-flow throttles the struck site's links (gnp
@@ -226,12 +174,7 @@ TEST(OnlineFlow, OversubscriptionStretchesAndKernelsAgree) {
 // run clean again.  Arrivals are sparse enough that the unfaulted run has
 // no contention at all — the stretch is attributable to the fault alone.
 TEST(OnlineFlow, CapacityLossMidFlowStretchesCompletions) {
-  StreamWorkloadConfig wc;
-  wc.sites = 4;
-  wc.queries = 120;
-  wc.datasets = 8;
-  wc.proc_delay = {0.1, 0.3};
-  const Instance inst = stream_instance(wc, 0xf10a);
+  const Instance inst = testing::four_site_flow_instance();
   OnlineConfig cfg;
   cfg.arrival_rate = 1.5;
   cfg.seed = 0x10ad;
@@ -240,34 +183,12 @@ TEST(OnlineFlow, CapacityLossMidFlowStretchesCompletions) {
 
   const OnlineResult clean = run_online(inst, cfg);
 
-  FaultTrace trace;  // events must be time-sorted: losses first, then
-                     // restores long after the arrival window
-  for (SiteId s = 0; s < 4; ++s) {
-    FaultEvent e;
-    e.time = 2.0 + 0.1 * s;
-    e.kind = FaultKind::kCapacityLoss;
-    e.site = s;
-    e.fraction = 0.9;
-    trace.events.push_back(e);
-  }
-  for (SiteId s = 0; s < 4; ++s) {
-    FaultEvent r;
-    r.time = 200.0 + 0.1 * s;
-    r.kind = FaultKind::kCapacityRestore;
-    r.site = s;
-    trace.events.push_back(r);
-  }
-  validate_fault_trace(inst, trace);
-  cfg.faults = trace;
+  cfg.faults = testing::mid_flow_capacity_loss_trace();
+  validate_fault_trace(inst, cfg.faults);
+  const OnlineResult faulted = run_online(inst, cfg);
 
-  cfg.kernel = OnlineKernel::kTyped;
-  const OnlineResult typed = run_online(inst, cfg);
-  cfg.kernel = OnlineKernel::kClosure;
-  const OnlineResult closure = run_online(inst, cfg);
-  expect_bit_identical(typed, closure);
-
-  EXPECT_GT(typed.flow_gap.max_stretch, clean.flow_gap.max_stretch);
-  EXPECT_GT(typed.flow_gap.max_stretch, 0.0);
+  EXPECT_GT(faulted.flow_gap.max_stretch, clean.flow_gap.max_stretch);
+  EXPECT_GT(faulted.flow_gap.max_stretch, 0.0);
 }
 
 TEST(OnlineFlow, RejectsBadOversubscription) {

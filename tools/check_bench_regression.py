@@ -52,7 +52,7 @@ INFO_KEYS = frozenset({
     "rate_changes", "readmitted", "records_per_run",
     "refill_ns_per_change", "scalar_ns_per_candidate", "shards",
     "site_rows_entries", "speedup", "speedup_vs_1shard",
-    "speedup_vs_closure", "vectorized_ns_per_candidate",
+    "vectorized_ns_per_candidate",
     "watchdog_overhead_pct",
 })
 
