@@ -1,5 +1,6 @@
 #include "obs/recorder.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -149,13 +150,25 @@ bool read_journal(std::istream& in, Journal* out, std::string* error) {
   if (header.record_size != sizeof(JournalRecord)) {
     return fail("journal record size mismatch");
   }
+  if (header.retained > header.appended) {
+    return fail("journal retains more records than it appended");
+  }
   out->header = header;
-  out->records.resize(header.retained);
-  if (header.retained > 0) {
-    in.read(reinterpret_cast<char*>(out->records.data()),
-            static_cast<std::streamsize>(header.retained *
-                                         sizeof(JournalRecord)));
-    if (!in) return fail("journal truncated mid-records");
+  // The header is untrusted: read in bounded chunks and grow only as bytes
+  // actually arrive, so a forged count costs one chunk, not `retained`.
+  constexpr std::uint64_t kChunk = std::uint64_t{1} << 16;
+  out->records.clear();
+  for (std::uint64_t left = header.retained; left > 0;) {
+    const auto n = static_cast<std::size_t>(std::min(left, kChunk));
+    const std::size_t at = out->records.size();
+    out->records.resize(at + n);
+    in.read(reinterpret_cast<char*>(out->records.data() + at),
+            static_cast<std::streamsize>(n * sizeof(JournalRecord)));
+    if (!in) {
+      out->records.clear();
+      return fail("journal truncated mid-records");
+    }
+    left -= n;
   }
   return true;
 }

@@ -32,65 +32,82 @@ Args::Args(int argc, const char* const* argv) {
   }
 }
 
+const std::string* Args::find(const std::string& name) const {
+  consumed_.insert(name);
+  const auto it = named_.find(name);
+  return it == named_.end() ? nullptr : &it->second;
+}
+
 bool Args::has(const std::string& name) const {
-  return named_.contains(name);
+  return find(name) != nullptr;
 }
 
 std::string Args::get(const std::string& name,
                       const std::string& fallback) const {
-  const auto it = named_.find(name);
-  return it == named_.end() ? fallback : it->second;
+  const std::string* v = find(name);
+  return v == nullptr ? fallback : *v;
 }
 
 long long Args::get_int(const std::string& name, long long fallback) const {
-  const auto it = named_.find(name);
-  if (it == named_.end()) return fallback;
+  const std::string* v = find(name);
+  if (v == nullptr) return fallback;
   try {
     std::size_t pos = 0;
-    const long long v = std::stoll(it->second, &pos);
-    if (pos != it->second.size()) throw std::invalid_argument(it->second);
-    return v;
+    const long long n = std::stoll(*v, &pos);
+    if (pos != v->size()) throw std::invalid_argument(*v);
+    return n;
   } catch (const std::exception&) {
-    throw std::runtime_error("--" + name + ": expected integer, got '" +
-                             it->second + "'");
+    throw std::runtime_error("--" + name + ": expected integer, got '" + *v +
+                             "'");
   }
 }
 
 double Args::get_double(const std::string& name, double fallback) const {
-  const auto it = named_.find(name);
-  if (it == named_.end()) return fallback;
+  const std::string* v = find(name);
+  if (v == nullptr) return fallback;
   try {
     std::size_t pos = 0;
-    const double v = std::stod(it->second, &pos);
-    if (pos != it->second.size()) throw std::invalid_argument(it->second);
-    return v;
+    const double x = std::stod(*v, &pos);
+    if (pos != v->size()) throw std::invalid_argument(*v);
+    return x;
   } catch (const std::exception&) {
-    throw std::runtime_error("--" + name + ": expected number, got '" +
-                             it->second + "'");
+    throw std::runtime_error("--" + name + ": expected number, got '" + *v +
+                             "'");
   }
 }
 
 bool Args::get_bool(const std::string& name, bool fallback) const {
-  const auto it = named_.find(name);
-  if (it == named_.end()) return fallback;
-  const std::string& v = it->second;
-  if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
-  if (v == "false" || v == "0" || v == "no" || v == "off") return false;
-  throw std::runtime_error("--" + name + ": expected boolean, got '" + v + "'");
+  const std::string* v = find(name);
+  if (v == nullptr) return fallback;
+  if (*v == "true" || *v == "1" || *v == "yes" || *v == "on") return true;
+  if (*v == "false" || *v == "0" || *v == "no" || *v == "off") return false;
+  throw std::runtime_error("--" + name + ": expected boolean, got '" + *v +
+                           "'");
 }
 
 std::uint64_t Args::get_seed(const std::string& name,
                              std::uint64_t fallback) const {
-  const auto it = named_.find(name);
-  if (it == named_.end()) return fallback;
+  const std::string* v = find(name);
+  if (v == nullptr) return fallback;
   try {
     std::size_t pos = 0;
-    const auto v = std::stoull(it->second, &pos, 0);
-    if (pos != it->second.size()) throw std::invalid_argument(it->second);
-    return v;
+    const auto n = std::stoull(*v, &pos, 0);
+    if (pos != v->size()) throw std::invalid_argument(*v);
+    return n;
   } catch (const std::exception&) {
-    throw std::runtime_error("--" + name + ": expected seed, got '" +
-                             it->second + "'");
+    throw std::runtime_error("--" + name + ": expected seed, got '" + *v +
+                             "'");
+  }
+}
+
+void Args::reject_unused() const {
+  std::string unused;
+  for (const auto& [name, value] : named_) {
+    if (consumed_.contains(name)) continue;
+    unused += (unused.empty() ? "--" : ", --") + name;
+  }
+  if (!unused.empty()) {
+    throw std::runtime_error("unknown or unused flag(s): " + unused);
   }
 }
 

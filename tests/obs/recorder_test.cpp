@@ -165,6 +165,42 @@ TEST_F(RecorderTest, ReadRejectsGarbageAndTruncation) {
   }
 }
 
+TEST_F(RecorderTest, ForgedRecordCountIsATypedErrorNotAnAllocation) {
+  // A 2-record journal whose header claims 2^40 retained records (40 TiB):
+  // the reader must fail on the missing bytes, not try to allocate them.
+  obs::Recorder rec;
+  rec.append(make_record(1));
+  rec.append(make_record(2));
+  std::ostringstream os;
+  rec.write(os);
+  const std::string bytes = os.str();
+  auto forged = [&bytes](std::uint64_t appended, std::uint64_t retained) {
+    obs::JournalHeader h;
+    std::memcpy(&h, bytes.data(), sizeof h);
+    h.appended = appended;
+    h.retained = retained;
+    std::string out = bytes;
+    std::memcpy(out.data(), &h, sizeof h);
+    return out;
+  };
+  constexpr std::uint64_t kHuge = std::uint64_t{1} << 40;
+  obs::Journal journal;
+  std::string err;
+  {
+    // retained > appended is impossible for a real recorder.
+    std::istringstream is(forged(2, kHuge));
+    EXPECT_FALSE(obs::read_journal(is, &journal, &err));
+    EXPECT_EQ(err, "journal retains more records than it appended");
+  }
+  {
+    // Both counts forged consistently: only the body can refute them.
+    std::istringstream is(forged(kHuge, kHuge));
+    EXPECT_FALSE(obs::read_journal(is, &journal, &err));
+    EXPECT_EQ(err, "journal truncated mid-records");
+    EXPECT_TRUE(journal.records.empty());
+  }
+}
+
 TEST_F(RecorderTest, ClearKeepsModeAndCapacity) {
   obs::Recorder rec;
   rec.configure(obs::RecorderMode::kRing, 4);

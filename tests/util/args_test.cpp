@@ -80,5 +80,46 @@ TEST(Args, NegativeNumberAsValue) {
   EXPECT_EQ(a.get_int("delta", 0), -5);
 }
 
+TEST(Args, RejectUnusedPassesWhenEveryFlagWasRead) {
+  const Args a = make_args({"prog", "--size=4", "--verbose", "--rate", "2",
+                            "--seed=7", "--name", "x", "--out=o.txt"});
+  (void)a.get_int("size", 0);
+  (void)a.get_bool("verbose", false);
+  (void)a.get_double("rate", 0.0);
+  (void)a.get_seed("seed", 0);
+  (void)a.get("name", "");
+  EXPECT_TRUE(a.has("out"));  // has() consumes too
+  EXPECT_NO_THROW(a.reject_unused());
+}
+
+TEST(Args, RejectUnusedNamesEveryLeftover) {
+  // The misspelt --kernal and the never-read --oversub are both reported;
+  // reading a flag that was not passed consumes nothing.
+  const Args a = make_args(
+      {"prog", "--kernal", "closure", "--oversub", "9", "--arrival-rate=4"});
+  (void)a.get_double("arrival-rate", 1.0);
+  (void)a.get("network", "table");
+  try {
+    a.reject_unused();
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "unknown or unused flag(s): --kernal, --oversub");
+  }
+}
+
+TEST(Args, RejectUnusedIgnoresPositionals) {
+  const Args a = make_args({"prog", "input.txt", "--n=1"});
+  (void)a.get_int("n", 0);
+  EXPECT_NO_THROW(a.reject_unused());
+}
+
+TEST(Args, FailedParseStillCountsAsRead) {
+  // A malformed value is its own error; it must not also be reported as an
+  // unknown flag.
+  const Args a = make_args({"prog", "--size=abc"});
+  EXPECT_THROW((void)a.get_int("size", 0), std::runtime_error);
+  EXPECT_NO_THROW(a.reject_unused());
+}
+
 }  // namespace
 }  // namespace edgerep
