@@ -64,6 +64,11 @@ struct PostmortemSlo {
   double p95_slack = 0.0;
   double p99_slack = 0.0;
   std::vector<PostmortemSiteSlo> per_site;
+  /// False when a ring journal of a flow run dropped its head and the
+  /// window's flow records could not be matched to its demands: the
+  /// rollup then leaves out the contention stretch of every flow.  The
+  /// writers print the flag only when it is false.
+  bool complete = true;
 };
 
 /// One query's reconstructed causal timeline.
@@ -196,7 +201,10 @@ struct JournalError : std::runtime_error {
 /// analyze best-effort: flight records whose arrival was overwritten are
 /// skipped (they cannot be attributed to a deadline), and so are the
 /// per-query effects of any record naming a query with no arrival (batch
-/// repair journals); journal-wide counters still count it.  Throws
+/// repair journals); journal-wide counters still count it.  Flow records
+/// of a ring window are attributed through the window's recovered slot
+/// base (postmortem.cpp, recover_flow_slot_base); when it cannot be
+/// recovered uniquely, `slo.complete` is false.  Throws
 /// JournalError on a corrupt journal; memory stays proportional to the
 /// record count.
 [[nodiscard]] PostmortemReport analyze_journal(const Journal& journal);

@@ -284,6 +284,68 @@ TEST_F(PostmortemTest, FlowJournalReplaysStretchedCompletions) {
   EXPECT_NE(json.str().find("\"rate_changes\""), std::string::npos);
 }
 
+// A ring journal of a flow run keeps only its tail, so its flow records'
+// layout slots no longer start at query 0.  The analyzer recovers the
+// window's slot base: every admitted query in the window then completes
+// exactly as the live run says, contention stretch included.  A window
+// whose flow records cannot be matched to its demands is flagged
+// incomplete instead of reading as a clean rollup.
+TEST_F(PostmortemTest, RingFlowJournalAttributesItsWindow) {
+  const Instance inst = testing::medium_instance(11, /*f_max=*/3);
+  OnlineConfig cfg;
+  cfg.seed = 0x5e55;
+  cfg.arrival_rate = 4.0;
+  cfg.network = OnlineNetwork::kFlow;
+  cfg.oversubscription = 64.0;
+  const auto [res, full_bytes] = record_run(inst, cfg);
+  const std::size_t records = parse(full_bytes).records.size();
+
+  obs::recorder().configure(obs::RecorderMode::kRing, records / 3);
+  obs::set_recorder_enabled(true);
+  const OnlineResult ring_res = run_online(inst, cfg);
+  obs::set_recorder_enabled(false);
+  std::ostringstream os;
+  obs::recorder().write(os);
+  ASSERT_EQ(online_result_hash(ring_res), online_result_hash(res));
+  const obs::Journal ring = parse(os.str());
+  ASSERT_GT(ring.header.dropped, 0u);
+
+  const obs::PostmortemReport report = analyze_journal(ring);
+  EXPECT_TRUE(report.slo.complete);
+  ASSERT_GT(report.admitted, 0u);
+  EXPECT_LT(report.arrivals, inst.queries().size());
+  EXPECT_GT(report.flow_stretched, 0u);
+  std::size_t hits = 0;
+  for (const obs::QueryTimeline& tl : report.timelines) {
+    if (!tl.admitted) continue;
+    EXPECT_EQ(res.outcomes[tl.query].completion_time, tl.completion)
+        << "query " << tl.query;
+    if (tl.slack >= -1e-9) ++hits;
+  }
+  EXPECT_EQ(report.slo.deadline_hits, hits);
+  EXPECT_LT(report.slo.deadline_hits, report.slo.admitted_queries);
+  std::ostringstream text;
+  obs::write_report_text(text, report, 0);
+  EXPECT_EQ(text.str().find("incomplete"), std::string::npos);
+
+  // Without its flight records the window's flows match no demand.
+  obs::Journal stripped = ring;
+  std::erase_if(stripped.records, [](const obs::JournalRecord& r) {
+    const auto kind = static_cast<obs::RecordKind>(r.kind);
+    return kind == obs::RecordKind::kTransferStart ||
+           kind == obs::RecordKind::kRelocate;
+  });
+  const obs::PostmortemReport partial = analyze_journal(stripped);
+  EXPECT_FALSE(partial.slo.complete);
+  EXPECT_EQ(partial.flow_retirements, 0u);
+  std::ostringstream partial_text;
+  obs::write_report_text(partial_text, partial, 0);
+  EXPECT_NE(partial_text.str().find("incomplete"), std::string::npos);
+  std::ostringstream partial_json;
+  obs::write_report_json(partial_json, partial, 0);
+  EXPECT_NE(partial_json.str().find("\"complete\":false"), std::string::npos);
+}
+
 // Table-mode journals have no flow records: the flow section stays zero
 // and no by_link buckets appear.
 TEST_F(PostmortemTest, TableJournalHasEmptyFlowSection) {
