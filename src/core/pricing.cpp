@@ -78,14 +78,18 @@ __attribute__((target("avx2"))) void avx2_scan(
   __m256d vbesti = _mm256_set1_pd(-1.0);
   __m256d vcuri = _mm256_set_pd(3.0, 2.0, 1.0, 0.0);
   const __m256d vstep = _mm256_set1_pd(4.0);
+  // Masked gathers with an all-ones mask load the same lanes as the plain
+  // form; the explicit source operand keeps GCC's -Wmaybe-uninitialized
+  // quiet about the plain intrinsic's internal undefined source.
+  const __m256d vall = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
 
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
     const __m128i vsite =
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(sites + i));
-    const __m256d vth = _mm256_i32gather_pd(theta, vsite, 8);
-    const __m256d vav = _mm256_i32gather_pd(avail, vsite, 8);
-    const __m256d vld = _mm256_i32gather_pd(load, vsite, 8);
+    const __m256d vth = _mm256_mask_i32gather_pd(vzero, theta, vsite, vall, 8);
+    const __m256d vav = _mm256_mask_i32gather_pd(vzero, avail, vsite, vall, 8);
+    const __m256d vld = _mm256_mask_i32gather_pd(vzero, load, vsite, vall, 8);
     const __m256d vhas = _mm256_set_pd(
         static_cast<double>(replica[sites[i + 3]]),
         static_cast<double>(replica[sites[i + 2]]),

@@ -132,7 +132,9 @@ TEST(TypedEventQueue, RandomizedHeapDrainsSorted) {
   for (int i = 0; i < 2000; ++i) {
     ASSERT_TRUE(q.pop(&out));
     EXPECT_DOUBLE_EQ(out.time, times[static_cast<std::size_t>(i)]);
-    if (i > 0) EXPECT_TRUE(event_before(prev, out));
+    if (i > 0) {
+      EXPECT_TRUE(event_before(prev, out));
+    }
     prev = out;
   }
   EXPECT_FALSE(q.pop(&out));
