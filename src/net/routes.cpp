@@ -3,73 +3,43 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "net/shortest_path.h"
-#include "util/thread_pool.h"
-
 namespace edgerep {
 
-std::vector<EdgeId> path_edges(const Graph& g,
-                               const std::vector<NodeId>& nodes) {
-  std::vector<EdgeId> edges;
-  for (std::size_t i = 0; i + 1 < nodes.size(); ++i) {
-    EdgeId best = kInvalidEdge;
-    for (const HalfEdge& he : g.neighbors(nodes[i])) {
-      if (he.to != nodes[i + 1]) continue;
-      if (best == kInvalidEdge || he.delay < g.edge(best).delay) {
-        best = he.edge;
-      }
+RouteTable::RouteTable(const Graph& g, std::span<const NodeId> sources)
+    : g_(&g), n_(g.num_nodes()), sources_(sources.begin(), sources.end()) {
+  for (const NodeId s : sources_) {
+    if (s >= n_) {
+      throw std::invalid_argument("RouteTable: source out of range");
     }
-    if (best == kInvalidEdge) {
-      throw std::logic_error("path_edges: broken shortest path");
-    }
-    edges.push_back(best);
   }
-  return edges;
+  row_at_.assign(sources_.size(), kNotComputed);
 }
 
-RouteTable RouteTable::compute(const Graph& g,
-                               std::span<const NodeId> sources,
-                               bool parallel) {
-  RouteTable t;
-  t.n_ = g.num_nodes();
-  t.sources_.assign(sources.begin(), sources.end());
-  for (const NodeId s : t.sources_) {
-    if (s >= t.n_) {
-      throw std::invalid_argument("RouteTable::compute: source out of range");
-    }
+const NodeId* RouteTable::row_parents(std::size_t row) {
+  std::uint32_t& at = row_at_[row];
+  if (at == kNotComputed) {
+    at = static_cast<std::uint32_t>(rows_computed());
+    parent_.resize(parent_.size() + n_);
+    dist_.resize(n_);
+    ws_.run(*g_, sources_[row], dist_,
+            std::span<NodeId>(parent_.data() + at * n_, n_));
   }
-  t.parent_.resize(t.sources_.size() * t.n_);
-  auto fill_row = [&](std::size_t r) {
-    thread_local DijkstraWorkspace ws;
-    thread_local std::vector<double> dist;
-    dist.resize(t.n_);
-    ws.run(g, t.sources_[r], dist,
-           std::span<NodeId>(t.parent_.data() + r * t.n_, t.n_));
-  };
-  const bool fan_out =
-      parallel && t.sources_.size() > 1 &&
-      (t.n_ > kParallelForThreshold ||
-       t.sources_.size() > kParallelForThreshold);
-  if (fan_out) {
-    global_pool().parallel_for(t.sources_.size(), fill_row);
-  } else {
-    for (std::size_t r = 0; r < t.sources_.size(); ++r) fill_row(r);
-  }
-  return t;
+  return parent_.data() + static_cast<std::size_t>(at) * n_;
 }
 
-bool RouteTable::edge_path(const Graph& g, std::size_t row, NodeId target,
-                           std::vector<EdgeId>& out) const {
+bool RouteTable::edge_path(std::size_t row, NodeId target,
+                           std::vector<EdgeId>& out) {
   out.clear();
   if (row >= sources_.size() || target >= n_) {
-    throw std::out_of_range("RouteTable::edge_path: row or target out of range");
+    throw std::out_of_range(
+        "RouteTable::edge_path: row or target out of range");
   }
   const NodeId source = sources_[row];
   if (target == source) return true;
-  const NodeId* parent = parent_.data() + row * n_;
+  const NodeId* parent = row_parents(row);
+  const Graph& g = *g_;
   // Walk target → source through the parent forest, resolving each hop to
-  // the cheapest parallel edge (same tie-break as path_edges: first
-  // cheapest wins when delays are equal).
+  // the cheapest parallel edge (first cheapest wins when delays are equal).
   for (NodeId v = target; v != source;) {
     const NodeId p = parent[v];
     if (p == kInvalidNode) {  // unreachable from this source

@@ -22,6 +22,14 @@
 //    dynamic events mid-run (the former closure-based online kernel, whose
 //    output the golden fixtures freeze) even though this kernel streams
 //    arrivals lazily (one pending arrival in the heap, not the horizon).
+//  * `arm()` keeps at most one *armed* entry per key (a FlowEngine slot):
+//    re-arming replaces the key's entry in an indexed min-heap instead of
+//    leaving a stale event behind, and `disarm()` withdraws it.  An armed
+//    entry draws its seq from the dynamic-band counter exactly as
+//    push_dynamic does, and pop() takes the earlier of the two heap tops by
+//    `(time, seq)`, so every tie against arrivals, compute events and
+//    faults breaks as if the entry had been pushed.  Pending flow
+//    completions are thus O(live flows), not O(rate changes).
 //  * `post()` enqueues an *immediate*: a FIFO ring drained before the next
 //    heap pop.  Immediates model work that runs synchronously after a
 //    handler (e.g. relocating the flights displaced by a crash), keeping
@@ -92,8 +100,9 @@ inline constexpr unsigned kBandShift = 56;
   return x.seq < y.seq;
 }
 
-/// 4-ary array min-heap of SimEvent plus a FIFO immediates ring.  One
-/// vector each; no per-event allocation once the storage is warm.
+/// 4-ary array min-heap of SimEvent, an indexed 4-ary min-heap of armed
+/// entries (one per key) and a FIFO immediates ring.  No per-event
+/// allocation once the storage is warm.
 class TypedEventQueue {
  public:
   /// Current simulated time (seconds).  0 before any timed pop.
@@ -121,22 +130,30 @@ class TypedEventQueue {
                   0, 0.0, EvKind::kStatusTick});
   }
 
+  /// Arm `key`'s entry: it pops as kTransferDone{a = key, b} at `time`.
+  /// Replaces the key's earlier armed entry, if any; the seq is drawn from
+  /// the dynamic-band counter, as push_dynamic would draw it.
+  void arm(std::uint32_t key, double time, std::uint32_t b);
+
+  /// Withdraw `key`'s armed entry (no-op when none is armed).
+  void disarm(std::uint32_t key);
+
   /// Enqueue an immediate: runs at now(), FIFO, before any heap event.
   void post(const SimEvent& ev);
 
-  /// Pop the next event (immediates first, then the heap); advances now()
-  /// on heap pops.  Returns false when both are empty.
+  /// Pop the next event (immediates first, then the earlier of the event
+  /// heap and the armed heap); advances now() on heap pops.  A popped armed
+  /// entry is disarmed.  Returns false when everything is empty.
   bool pop(SimEvent* out);
 
   /// Drain only the immediates ring (used by handlers that must complete
   /// posted work — e.g. displaced-flight relocation — before returning).
   bool pop_immediate(SimEvent* out);
 
-  [[nodiscard]] bool empty() const noexcept {
-    return heap_.empty() && ring_head_ == ring_.size();
-  }
+  [[nodiscard]] bool empty() const noexcept { return pending() == 0; }
+  /// Pushed, armed and posted events not yet popped.
   [[nodiscard]] std::size_t pending() const noexcept {
-    return heap_.size() + (ring_.size() - ring_head_);
+    return heap_.size() + armed_.size() + (ring_.size() - ring_head_);
   }
 
   /// --- accounting (bench evidence for the O(inflight) memory bound) ----
@@ -144,8 +161,8 @@ class TypedEventQueue {
   [[nodiscard]] std::size_t peak_pending() const noexcept {
     return peak_pending_;
   }
-  /// High-water of the queue's owned storage in bytes (heap + ring
-  /// capacity); grows with concurrency, not horizon.
+  /// High-water of the queue's owned storage in bytes (heaps, armed index
+  /// and ring capacity); grows with concurrency, not horizon.
   [[nodiscard]] std::size_t peak_bytes() const noexcept {
     return peak_bytes_;
   }
@@ -160,13 +177,20 @@ class TypedEventQueue {
     const std::size_t p = pending();
     if (p > peak_pending_) peak_pending_ = p;
     const std::size_t b =
-        (heap_.capacity() + ring_.capacity()) * sizeof(SimEvent);
+        (heap_.capacity() + armed_.capacity() + ring_.capacity()) *
+            sizeof(SimEvent) +
+        armed_pos_.capacity() * sizeof(std::uint32_t);
     if (b > peak_bytes_) peak_bytes_ = b;
   }
-  void sift_up(std::size_t i);
-  void sift_down(std::size_t i);
+  void remove_armed(std::size_t pos);
+  /// Restore the armed heap order around the entry at `pos`.
+  void place_armed(std::size_t pos);
 
   std::vector<SimEvent> heap_;
+  // Armed entries: a 4-ary heap keyed by `a`, and each key's index in it
+  // (kNilSlot when the key is not armed).
+  std::vector<SimEvent> armed_;
+  std::vector<std::uint32_t> armed_pos_;
   std::vector<SimEvent> ring_;
   std::size_t ring_head_ = 0;
   double now_ = 0.0;

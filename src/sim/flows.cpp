@@ -1,6 +1,7 @@
 #include "sim/flows.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -132,6 +133,8 @@ std::uint32_t FlowEngine::alloc_slot() {
     flows_.emplace_back();
     flow_mark_.push_back(0);
     flow_local_.push_back(0);
+    if (slot % 64 == 0) member_bits_.push_back(0);
+    if (slot % 4096 == 0) member_words_.push_back(0);
   }
   return slot;
 }
@@ -150,7 +153,7 @@ void FlowEngine::schedule_completion(std::uint32_t slot) {
   if (f.rate <= 0.0) return;  // starved (cannot happen with >0 capacities)
   const double eta = std::max(f.remaining / f.rate, 0.0);
   if (tq_ != nullptr) {
-    tq_->push_dynamic(EvKind::kTransferDone, tq_->now() + eta, slot, f.gen);
+    tq_->arm(slot, tq_->now() + eta, f.gen);
   } else {
     const std::uint32_t gen = f.gen;
     eq_->schedule_in(eta, [this, slot, gen] {
@@ -182,19 +185,23 @@ void FlowEngine::complete_flow(std::uint32_t slot, bool via_event) {
     free_.push_back(slot);
   } else {
     // Park until the authoritative kTransferDone below is consumed by
-    // handle_event (the slot must not be reused before delivery).
+    // handle_event (the slot must not be reused before delivery); it
+    // replaces the slot's armed prediction.
     f.state = State::kCompleting;
-    tq_->push_dynamic(EvKind::kTransferDone, tq_->now(), slot, f.gen);
+    tq_->arm(slot, tq_->now(), f.gen);
   }
 }
 
 void FlowEngine::gather_component(std::uint32_t seed) {
-  comp_flows_.clear();
   comp_links_.clear();
   stack_.clear();
-  flow_mark_[seed] = epoch_;
-  comp_flows_.push_back(seed);
-  stack_.push_back(seed);
+  const auto visit = [this](std::uint32_t f) {
+    flow_mark_[f] = epoch_;
+    member_bits_[f >> 6] |= std::uint64_t{1} << (f & 63);
+    member_words_[f >> 12] |= std::uint64_t{1} << ((f >> 6) & 63);
+    stack_.push_back(f);
+  };
+  visit(seed);
   while (!stack_.empty()) {
     const std::uint32_t f = stack_.back();
     stack_.pop_back();
@@ -204,19 +211,29 @@ void FlowEngine::gather_component(std::uint32_t seed) {
       link_local_[e] = static_cast<std::uint32_t>(comp_links_.size());
       comp_links_.push_back(e);
       for (const std::uint32_t u : link_users_[e]) {
-        if (flow_mark_[u] == epoch_) continue;
-        flow_mark_[u] = epoch_;
-        comp_flows_.push_back(u);
-        stack_.push_back(u);
+        if (flow_mark_[u] != epoch_) visit(u);
       }
     }
   }
   // Ascending slot order is the canonical iteration order of every pass
   // over the component (advance, retire, apply) — it makes the fill's
-  // output order a pure function of the component's membership.  Phase D
-  // gathers several components under one epoch, so the lists below, not
-  // the marks, are the only record of which flows belong to this one.
-  std::sort(comp_flows_.begin(), comp_flows_.end());
+  // output order a pure function of the component's membership.  Listing
+  // the member bits in order, and clearing them as they are read, costs
+  // O(members + slots / 4096).  Phase D gathers several components under
+  // one epoch, so the lists below, not the marks, are the only record of
+  // which flows belong to this one.
+  comp_flows_.clear();
+  for (std::size_t s = 0; s < member_words_.size(); ++s) {
+    for (std::uint64_t words = std::exchange(member_words_[s], 0);
+         words != 0; words &= words - 1) {
+      const std::size_t w = s * 64 + std::countr_zero(words);
+      for (std::uint64_t bits = std::exchange(member_bits_[w], 0); bits != 0;
+           bits &= bits - 1) {
+        comp_flows_.push_back(
+            static_cast<std::uint32_t>(w * 64 + std::countr_zero(bits)));
+      }
+    }
+  }
 }
 
 void FlowEngine::fill_component() {
@@ -389,10 +406,11 @@ void FlowEngine::recompute(std::uint32_t seed, bool force_complete,
       if (fl.state == State::kActive) --active_;
       fl.rate = 0.0;
       fl.remaining = 0.0;
-      ++fl.gen;  // any armed prediction goes stale
+      ++fl.gen;  // any closure-mode prediction goes stale
       fl.state = State::kFree;
       fl.done = nullptr;
       free_.push_back(f);
+      if (tq_ != nullptr) tq_->disarm(f);
     } else {
       complete_flow(f, force_complete && f == seed && !silent_seed);
     }
@@ -471,7 +489,7 @@ std::uint32_t FlowEngine::start_flow(double size_gb, std::vector<EdgeId> path,
     f.path.clear();
     f.state = State::kCompleting;
     ++f.gen;
-    tq_->push_dynamic(EvKind::kTransferDone, tq_->now(), slot, f.gen);
+    tq_->arm(slot, tq_->now(), f.gen);
     return slot;
   }
   f.remaining = size_gb;
@@ -489,13 +507,12 @@ void FlowEngine::cancel(std::uint32_t slot) {
   if (slot >= flows_.size()) return;
   Flow& f = flows_[slot];
   if (f.state == State::kCompleting) {
-    // Drained but undelivered: stale the parked event and free the slot
-    // (the generation is monotone per slot, so a later reuse cannot
-    // resurrect the event).
+    // Drained but undelivered (typed mode only): withdraw the parked
+    // delivery and free the slot.
     ++f.gen;
     f.state = State::kFree;
-    f.done = nullptr;
     free_.push_back(slot);
+    tq_->disarm(slot);
     return;
   }
   if (f.state != State::kActive) return;

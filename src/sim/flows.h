@@ -37,22 +37,31 @@
 //  * one epoch per phase D — the split components of one recompute are
 //    gathered under one epoch, so a flow's mark says only that some
 //    component of this phase holds it; each component's membership is its
-//    gathered (sorted) list, never re-derived from the marks.
+//    gathered list, never re-derived from the marks.  A gather lists its
+//    members in ascending slot order from a two-level bitset (one bit per
+//    slot, one summary bit per 64-slot word) that it clears as it reads,
+//    so the listing holds exactly this gather's members and costs
+//    O(members + slots / 4096) instead of a sort.
 //
 // Refilling only the flows on saturated links cannot reproduce these bits:
 // a cap-frozen flow's rate is the level of the round its cap binds, which
 // depends on every earlier round of the whole component.
 //
 // Flows live in a slot registry with free-list reuse; paths are moved in,
-// never copied.  Completion events carry the flow's generation, which bumps
-// on every rate change, so a stale prediction self-discards.  The engine
-// runs on either event core:
+// never copied.  Each flow carries a generation that bumps on every rate
+// change.  The engine runs on either event core:
 //
-//  * closure mode (EventQueue): completions call the std::function the
-//    caller provided — the testbed simulator's mode (sim/simulator.h).
-//  * typed mode (TypedEventQueue): completions surface as
-//    EvKind::kTransferDone events; the owning run loop feeds them to
-//    handle_event(), which returns the caller's tag when the flow is done.
+//  * closure mode (EventQueue): every rate change schedules a completion
+//    closure stamped with the generation, so a superseded prediction
+//    self-discards when it fires — the testbed simulator's mode
+//    (sim/simulator.h).
+//  * typed mode (TypedEventQueue): each flow slot owns one *armed* entry
+//    of the queue (TypedEventQueue::arm), re-armed on every rate change,
+//    parked delivery and trivial start, and disarmed on cancel.  No stale
+//    prediction is ever queued: pending flow events are bounded by the
+//    live flows.  The armed entry pops as EvKind::kTransferDone; the
+//    owning run loop feeds it to handle_event(), which returns the
+//    caller's tag when the flow is done.
 #pragma once
 
 #include <cstdint>
@@ -125,26 +134,27 @@ class FlowEngine {
                            std::uint32_t tag = 0,
                            double rate_cap = kUnconstrainedRate);
 
-  /// Typed-mode start: the completion arrives on the queue as
-  /// kTransferDone{a = slot, b = generation}; `tag` is returned by
+  /// Typed-mode start: the completion arrives on the queue as the slot's
+  /// armed kTransferDone{a = slot, b = generation}; `tag` is returned by
   /// handle_event when that event is current.  Returns the flow's slot.
   std::uint32_t start_flow(double size_gb, std::vector<EdgeId> path,
                            std::uint32_t tag,
                            double rate_cap = kUnconstrainedRate);
 
   /// Feed a popped kTransferDone event to the engine.  Returns the starting
-  /// call's `tag` when the event is a current completion, kNoFlow when it
-  /// is stale (the flow's rate changed after it was scheduled) or not a
-  /// kTransferDone at all.  Typed mode only.
+  /// call's `tag` when the event is a current completion, kNoFlow when its
+  /// generation is not the slot's (the queue never pops such an event, but
+  /// a caller may replay one) or it is not a kTransferDone at all.  Typed
+  /// mode only.
   [[nodiscard]] std::uint32_t handle_event(const SimEvent& ev);
 
   /// Abort `slot` without delivering a completion: the flow leaves its
-  /// links, any armed event goes stale, freed bandwidth is re-filled into
-  /// the surviving component(s), and no closure/typed completion ever
-  /// fires (the rate listener is not called either — the caller records
-  /// the kill itself).  No-op when the slot is already free or parked
-  /// completing and you raced its own delivery (the generation guard keeps
-  /// the late event stale).  Both modes.
+  /// links, its typed-mode entry is disarmed (a closure-mode prediction
+  /// goes stale), freed bandwidth is re-filled into the surviving
+  /// component(s), and no closure/typed completion ever fires (the rate
+  /// listener is not called either — the caller records the kill itself).
+  /// A parked (drained, undelivered) slot is freed without delivery.
+  /// No-op when the slot is already free.  Both modes.
   void cancel(std::uint32_t slot);
 
   /// Change one link's capacity mid-run (must stay > 0): flows crossing it
@@ -178,20 +188,22 @@ class FlowEngine {
   std::uint32_t alloc_slot();
   void unlink(std::uint32_t slot);
 
-  /// Predicted-completion event for `slot` at its current (rate, gen).
+  /// Predicted-completion event for `slot` at its current (rate, gen):
+  /// a closure in closure mode, the slot's re-armed entry in typed mode.
   void schedule_completion(std::uint32_t slot);
 
   /// Deliver a completed flow: closure mode schedules `done` at now and
-  /// frees the slot; typed mode parks the slot in kCompleting and emits the
-  /// authoritative kTransferDone (freed when handle_event consumes it).
+  /// frees the slot; typed mode parks the slot in kCompleting and re-arms
+  /// its entry at now (freed when handle_event consumes it).
   /// `via_event` marks the flow whose own current event is being handled —
   /// it is already delivered, so its slot frees directly.
   void complete_flow(std::uint32_t slot, bool via_event);
 
   /// Gather the connected component containing `seed` into comp_flows_
-  /// (sorted ascending) / comp_links_ (visit order; link_local_ maps each
-  /// back to its index).  Gathers are epoch-marked; membership is only
-  /// ever read from these lists, never re-derived from the marks.
+  /// (ascending slot order, listed from member_bits_) / comp_links_ (visit
+  /// order; link_local_ maps each back to its index).  Gathers are
+  /// epoch-marked; membership is only ever read from these lists, never
+  /// re-derived from the marks.
   void gather_component(std::uint32_t seed);
 
   /// Worklist progressive filling over comp_flows_/comp_links_ alone.
@@ -222,6 +234,10 @@ class FlowEngine {
   std::uint64_t epoch_ = 0;                ///< component-gather epoch
   std::uint64_t round_ = 0;                ///< fill saturation round stamp
   std::vector<std::uint64_t> flow_mark_;   ///< gather visit marks
+  // One gather's members: a bit per slot, plus a summary bit per non-zero
+  // word of member_bits_.  Empty between gathers.
+  std::vector<std::uint64_t> member_bits_;
+  std::vector<std::uint64_t> member_words_;
   std::vector<std::uint64_t> link_mark_;
   std::vector<std::uint32_t> link_local_;  ///< link → index in comp_links_
   std::vector<std::uint32_t> stack_;

@@ -172,7 +172,7 @@ OnlineResult run_online_typed(const Instance& inst, const OnlineConfig& cfg,
     std::vector<NodeId> site_nodes;
     site_nodes.reserve(num_sites);
     for (const Site& s : inst.sites()) site_nodes.push_back(s.node);
-    routes = RouteTable::compute(inst.graph(), site_nodes);
+    routes = RouteTable(inst.graph(), site_nodes);
     slot_query.resize(layout.total());
     for (const Query& q : inst.queries()) {
       for (std::uint32_t d = 0; d < q.demands.size(); ++d) {
@@ -342,7 +342,7 @@ OnlineResult run_online_typed(const Instance& inst, const OnlineConfig& cfg,
     cancel_transfer(ls);
     if (total <= 0.0) return;
     const NodeId home = inst.site(inst.query(m).home).node;
-    if (!routes.edge_path(inst.graph(), site, home, route_buf) ||
+    if (!routes.edge_path(site, home, route_buf) ||
         route_buf.empty()) {
       return;
     }

@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <deque>
-#include <map>
 #include <memory>
 #include <stdexcept>
 #include <vector>
 
 #include "cloud/delay.h"
 #include "net/routes.h"
-#include "net/shortest_path.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/event.h"
@@ -218,7 +216,7 @@ SimReport simulate(const ReplicaPlan& plan, const SimConfig& cfg) {
   std::vector<QueryState> queries(inst.queries().size());
   ResultCollector results(eq, queries);
   std::unique_ptr<FlowEngine> flows;
-  std::map<SiteId, ShortestPathTree> trees;  // per evaluation site, lazy
+  RouteTable routes;  // row = evaluation site; rows computed on first use
   if (cfg.transfers == SimConfig::TransferModel::kMaxMinFair) {
     std::vector<double> bandwidth;
     bandwidth.reserve(inst.graph().num_edges());
@@ -228,17 +226,17 @@ SimReport simulate(const ReplicaPlan& plan, const SimConfig& cfg) {
       bandwidth.push_back(e.delay > 0.0 ? 1.0 / e.delay : 1e9);
     }
     flows = std::make_unique<FlowEngine>(eq, std::move(bandwidth));
-    results.use_flows(
-        flows.get(), [&inst, &trees](SiteId from, QueryId m) {
-          auto it = trees.find(from);
-          if (it == trees.end()) {
-            it = trees.emplace(from,
-                               dijkstra(inst.graph(), inst.site(from).node))
-                     .first;
-          }
-          const NodeId home = inst.site(inst.query(m).home).node;
-          return path_edges(inst.graph(), it->second.path_to(home));
-        });
+    std::vector<NodeId> site_nodes;
+    site_nodes.reserve(inst.sites().size());
+    for (const Site& s : inst.sites()) site_nodes.push_back(s.node);
+    routes = RouteTable(inst.graph(), site_nodes);
+    results.use_flows(flows.get(), [&inst, &routes](SiteId from, QueryId m) {
+      // An unreachable home leaves the path empty: the transfer completes
+      // at once, as a local one does.
+      std::vector<EdgeId> path;
+      routes.edge_path(from, inst.site(inst.query(m).home).node, path);
+      return path;
+    });
   }
   ReservationEngine reservation(eq, results, capacity);
   ProcessorSharingEngine sharing(eq, results, capacity);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "helpers/fixtures.h"
@@ -152,6 +153,144 @@ TEST(TypedEventQueue, PeakPendingTracksHighWater) {
   q.push_dynamic(EvKind::kComputeDone, 3.0, 2, 0);
   EXPECT_EQ(q.peak_pending(), 2u);
   EXPECT_EQ(q.pending(), 1u);
+}
+
+TEST(TypedEventQueue, ReArmingReplacesTheKeysEntry) {
+  TypedEventQueue q;
+  q.arm(3, 5.0, 0);
+  q.arm(3, 2.0, 1);  // earlier
+  q.arm(3, 4.0, 2);  // later again: only this entry may pop
+  q.arm(7, 3.0, 0);
+  EXPECT_EQ(q.pending(), 2u);
+  SimEvent out;
+  ASSERT_TRUE(q.pop(&out));
+  EXPECT_EQ(out.kind, EvKind::kTransferDone);
+  EXPECT_EQ(out.a, 7u);
+  EXPECT_DOUBLE_EQ(out.time, 3.0);
+  ASSERT_TRUE(q.pop(&out));
+  EXPECT_EQ(out.kind, EvKind::kTransferDone);
+  EXPECT_EQ(out.a, 3u);
+  EXPECT_EQ(out.b, 2u);
+  EXPECT_DOUBLE_EQ(out.time, 4.0);
+  EXPECT_FALSE(q.pop(&out));
+  EXPECT_EQ(q.events_popped(), 2u);
+}
+
+TEST(TypedEventQueue, DisarmWithdrawsTheEntry) {
+  TypedEventQueue q;
+  q.arm(1, 1.0, 0);
+  q.arm(2, 2.0, 0);
+  q.arm(3, 3.0, 0);
+  q.disarm(1);
+  q.disarm(9);  // never armed: no-op
+  SimEvent out;
+  ASSERT_TRUE(q.pop(&out));
+  EXPECT_EQ(out.a, 2u);
+  q.disarm(2);  // already popped: no-op
+  q.disarm(3);
+  EXPECT_TRUE(q.empty());
+  EXPECT_FALSE(q.pop(&out));
+  q.arm(3, 4.0, 5);  // a withdrawn key can be armed again
+  ASSERT_TRUE(q.pop(&out));
+  EXPECT_EQ(out.a, 3u);
+  EXPECT_EQ(out.b, 5u);
+}
+
+TEST(TypedEventQueue, ArmedAndDynamicEventsPopInSeqOrderAtOneInstant) {
+  // arm() draws from the same dynamic-band counter as push_dynamic, so at
+  // one instant the two interleave in call order; a re-arm takes the
+  // newest seq.  Faults still pop first and status ticks last.
+  TypedEventQueue q;
+  q.push_status(1.0);
+  q.push_dynamic(EvKind::kComputeDone, 1.0, 100, 0);  // dyn seq 0
+  q.arm(0, 1.0, 0);                                   // 1
+  q.push_dynamic(EvKind::kComputeDone, 1.0, 101, 0);  // 2
+  q.arm(1, 1.0, 0);                                   // 3
+  q.arm(0, 1.0, 1);                                   // 4, replaces 1
+  q.push(ev(EvKind::kFaultApply, 1.0, evseq::make(evseq::kFaultBand, 0)));
+  SimEvent out;
+  std::vector<std::pair<EvKind, std::uint32_t>> order;
+  while (q.pop(&out)) order.emplace_back(out.kind, out.a);
+  const std::vector<std::pair<EvKind, std::uint32_t>> want = {
+      {EvKind::kFaultApply, 0},   {EvKind::kComputeDone, 100},
+      {EvKind::kComputeDone, 101}, {EvKind::kTransferDone, 1},
+      {EvKind::kTransferDone, 0}, {EvKind::kStatusTick, 0}};
+  EXPECT_EQ(order, want);
+}
+
+TEST(TypedEventQueue, PeakPendingCountsArmedEntries) {
+  TypedEventQueue q;
+  q.push_dynamic(EvKind::kComputeDone, 1.0, 0, 0);
+  q.arm(0, 2.0, 0);
+  q.arm(1, 3.0, 0);
+  q.arm(0, 2.5, 1);  // re-arm: still one entry for key 0
+  EXPECT_EQ(q.pending(), 3u);
+  SimEvent out;
+  while (q.pop(&out)) {
+  }
+  EXPECT_EQ(q.pending(), 0u);
+  EXPECT_EQ(q.peak_pending(), 3u);
+  EXPECT_GE(q.peak_bytes(), 3u * sizeof(SimEvent));
+}
+
+TEST(TypedEventQueue, RandomizedArmsMatchAReferenceOrder) {
+  // Random pushes, arms, re-arms, disarms and pops against a reference
+  // that keeps every live entry in a flat list: each pop must return the
+  // reference's (time, seq) minimum.
+  TypedEventQueue q;
+  Rng rng(0xA4A4);
+  std::vector<SimEvent> ref;  // pushed events and armed entries (a = key)
+  std::uint64_t dyn = 0;
+  const auto armed_at = [&ref](std::uint32_t key) {
+    return std::find_if(ref.begin(), ref.end(), [key](const SimEvent& e) {
+      return e.kind == EvKind::kTransferDone && e.a == key;
+    });
+  };
+  for (int step = 0; step < 5000; ++step) {
+    const double t = q.now() + rng.uniform(0.0, 4.0);
+    const auto key = static_cast<std::uint32_t>(rng.uniform_u64(0, 31));
+    switch (rng.uniform_u64(0, 4)) {
+      case 0:
+        q.push_dynamic(EvKind::kComputeDone, t, key, 0);
+        ref.push_back(SimEvent{t, evseq::make(evseq::kDynamicBand, dyn++),
+                               key, 0, 0.0, EvKind::kComputeDone});
+        break;
+      case 1:
+      case 2: {
+        q.arm(key, t, static_cast<std::uint32_t>(step));
+        const SimEvent e{t, evseq::make(evseq::kDynamicBand, dyn++), key,
+                         static_cast<std::uint32_t>(step), 0.0,
+                         EvKind::kTransferDone};
+        const auto it = armed_at(key);
+        if (it != ref.end()) {
+          *it = e;
+        } else {
+          ref.push_back(e);
+        }
+        break;
+      }
+      case 3: {
+        q.disarm(key);
+        const auto it = armed_at(key);
+        if (it != ref.end()) ref.erase(it);
+        break;
+      }
+      default: {
+        SimEvent out;
+        ASSERT_EQ(q.pop(&out), !ref.empty());
+        if (ref.empty()) break;
+        const auto it = std::min_element(ref.begin(), ref.end(), event_before);
+        EXPECT_EQ(out.seq, it->seq) << "step " << step;
+        EXPECT_EQ(out.kind, it->kind);
+        EXPECT_EQ(out.a, it->a);
+        EXPECT_EQ(out.b, it->b);
+        EXPECT_EQ(out.time, it->time);
+        ref.erase(it);
+        break;
+      }
+    }
+    ASSERT_EQ(q.pending(), ref.size()) << "step " << step;
+  }
 }
 
 TEST(FlightSlab, StaleHandleDereferencesToNull) {

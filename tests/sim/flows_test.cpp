@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <stdexcept>
@@ -426,6 +427,58 @@ TEST(FlowEngineEquivalence, TypedTrivialFlowsDeliverTags) {
   EXPECT_EQ(tags[1], 6u);
   EXPECT_DOUBLE_EQ(q.now(), 0.0);
   EXPECT_EQ(fe.active_flows(), 0u);
+}
+
+TEST(FlowEngine, TypedPendingEventsStayBoundedByLiveFlows) {
+  // Churn: 400 flows over 6 links, every 5th start also cancels a live
+  // flow.  Each slot owns at most one armed entry, so after every event
+  // the queue holds at most the not-yet-started arrivals plus the live
+  // (active or parked) flows — however many rate changes the fills make.
+  const std::vector<double> caps(6, 1.0);
+  const auto starts = random_starts(303, caps.size(), 400);
+  TypedEventQueue q;
+  FlowEngine fe(q, caps);
+  std::size_t rate_changes = 0;
+  fe.set_rate_listener([&](std::uint32_t, double, double rate, double,
+                           EdgeId) { rate_changes += rate > 0.0 ? 1 : 0; });
+  for (std::size_t i = 0; i < starts.size(); ++i) {
+    q.push(SimEvent{starts[i].time, evseq::make(evseq::kArrivalBand, i),
+                    static_cast<std::uint32_t>(i), 0, 0.0, EvKind::kArrival});
+  }
+  std::vector<std::uint32_t> live;  // slots started, not delivered/cancelled
+  std::vector<std::uint32_t> slot_of(starts.size(), FlowEngine::kNoFlow);
+  std::size_t arrivals_left = starts.size();
+  std::size_t peak_live = 0;
+  Rng rng(5);
+  SimEvent ev;
+  while (q.pop(&ev)) {
+    if (ev.kind == EvKind::kArrival) {
+      --arrivals_left;
+      const std::size_t i = ev.a;
+      if (i % 5 == 4 && !live.empty()) {
+        const auto k = static_cast<std::size_t>(
+            rng.uniform_u64(0, live.size() - 1));
+        fe.cancel(slot_of[live[k]]);
+        live[k] = live.back();
+        live.pop_back();
+      }
+      slot_of[i] = fe.start_flow(starts[i].size, starts[i].path,
+                                 static_cast<std::uint32_t>(i));
+      live.push_back(static_cast<std::uint32_t>(i));
+    } else {
+      const std::uint32_t tag = fe.handle_event(ev);
+      ASSERT_NE(tag, FlowEngine::kNoFlow) << "a stale event was queued";
+      live.erase(std::find(live.begin(), live.end(), tag));
+    }
+    peak_live = std::max(peak_live, live.size());
+    ASSERT_LE(q.pending(), arrivals_left + live.size());
+  }
+  EXPECT_TRUE(live.empty());
+  EXPECT_EQ(fe.active_flows(), 0u);
+  // The bound is not slack: the churn re-rated flows far more often than
+  // there were ever flows alive at once.
+  EXPECT_GT(rate_changes, 10 * peak_live);
+  EXPECT_LE(q.peak_pending(), starts.size() + peak_live);
 }
 
 TEST(FlowEngineEquivalence, ModeMisuseThrows) {

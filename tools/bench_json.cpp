@@ -38,8 +38,9 @@
 //
 // BENCH_flows.json: the flow-level network backend — run_online with
 // --network=flow vs the delay table at 1k and 10k sites (median wall time,
-// events/sec, flows routed, re-fill count), plus steady-state re-fill churn
-// of the FlowEngine alone at 64–4096 concurrent flows
+// delivered events/sec, peak pending events, flows routed, re-fill count),
+// plus steady-state re-fill churn of the FlowEngine alone at 64–4096
+// concurrent flows
 // ([--flows-out=BENCH_flows.json] [--flows-reps=3]).
 #include <algorithm>
 #include <chrono>
@@ -834,13 +835,17 @@ int emit_flows(const std::string& out_path, int reps) {
         << ", \"flow_overhead_pct\": "
         << round2((flow_ms / table_ms - 1.0) * 100.0)
         << ", \"events_per_sec\": " << static_cast<long long>(events_per_sec)
+        << ", \"peak_pending_events\": "
+        << flow_res.kernel_stats.peak_pending_events
         << ", \"flows_routed\": " << g.flows_routed
         << ", \"rate_changes\": " << g.rate_changes
         << ", \"gap_breaches\": " << g.gap_breaches << "},\n";
     std::cerr << sp.name << ": table " << table_ms << " ms, flow " << flow_ms
               << " ms (" << (flow_ms / table_ms - 1.0) * 100.0 << "%), "
               << g.flows_routed << " flows, " << g.rate_changes
-              << " rate changes, " << g.gap_breaches << " gap breaches\n";
+              << " rate changes, " << g.gap_breaches << " gap breaches, "
+              << flow_res.kernel_stats.peak_pending_events
+              << " peak pending events\n";
   }
 
   // Engine-only re-fill churn at fixed live populations.
